@@ -3,22 +3,24 @@
 // Microbenchmarks of the fold execution substrate, one row per
 // (benchmark, tier): the per-element bytecode VM, the loop-resident VM
 // running peephole-optimized bytecode, the jit-compiled native tier
-// (absent without a host compiler), and the pattern-specialized
-// kernels, all timed on the same workload so the tier speedups are
-// directly comparable. Also measures the distinct kernel's scaling
-// ratio time(2N)/time(N) — near 2 for the hash set, near 4 for the
-// historical O(n·k) linear scan on duplicate-free data.
+// (absent without a host compiler), and, for the bag program, the
+// hash-set distinct kernel, all timed on the same workload so the tier
+// speedups are directly comparable. Also measures the distinct kernel's
+// scaling ratio time(2N)/time(N) — near 2 for the hash set, near 4 for
+// the historical O(n·k) linear scan on duplicate-free data.
 //
 // Self-contained harness (no google-benchmark): each measurement runs
 // enough repetitions to cover a minimum wall-time window and reports the
 // best rep, which is the stable statistic for a hot deterministic loop.
 //
-//   bench_kernels [--json] [--tiers] [--no-specialize] [--no-native]
-//                 [--n ELEMS] [--seed S]
+//   bench_kernels [--json] [--tiers] [--no-native] [--n ELEMS] [--seed S]
 //
 // --json prints a machine-readable report (consumed by
-// scripts/bench_baseline.sh to produce BENCH_kernels.json); --tiers
-// prints only the tier-selection table (consumed by scripts/check.sh).
+// scripts/bench_baseline.sh to produce BENCH_kernels.json), including
+// each row's no-compiler fallback tier and its time; --tiers
+// prints only the tier-selection table with each program's selection
+// reason (consumed by scripts/check.sh). --no-native measures the
+// no-compiler fallback: every scalar program then selects the loop VM.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +44,6 @@ namespace {
 struct Options {
   bool Json = false;
   bool TiersOnly = false;
-  bool Specialize = true;
   bool Native = true;
   size_t N = 1u << 20;
   uint64_t Seed = 99;
@@ -50,7 +51,7 @@ struct Options {
 
 /// Kernels whose timing sits below this are not measuring an O(N) pass
 /// at all: the host compiler collapsed the loop to a closed form (e.g.
-/// count's specialized lane becomes Acc += N), so ns/elem is noise and
+/// count's native lane becomes Acc += N), so ns/elem is noise and
 /// any speedup against it is nonsense. A real fold cannot beat memory
 /// bandwidth (~0.1-0.2 ns per contiguous int64); closed forms sit
 /// orders of magnitude below.
@@ -86,16 +87,19 @@ struct TierRow {
 struct BenchRow {
   std::string Name;
   ExecTier Selected;
-  std::string Info;
+  std::string Reason;
+  /// What a host without a compiler selects (--no-native).
+  ExecTier NoNative = ExecTier::LoopVM;
   TierRow Tiers[4];
 };
 
 BenchRow measureProgram(const lang::SerialProgram &P, const Options &Opts) {
-  CompiledProgram CP(P, Opts.Specialize, Opts.Native);
+  CompiledProgram CP(P, Opts.Native);
   BenchRow Row;
   Row.Name = P.Name;
   Row.Selected = CP.tier();
-  Row.Info = CP.specializationInfo();
+  Row.Reason = CP.selectionReason();
+  Row.NoNative = CompiledProgram(P, /*AllowNative=*/false).tier();
 
   std::vector<int64_t> Data = generateWorkload(P, Opts.N, Opts.Seed);
   std::vector<SegmentView> Segs = {{Data.data(), Data.size()}};
@@ -165,11 +169,11 @@ int run(const Options &Opts) {
   std::vector<BenchRow> Rows;
   for (const lang::SerialProgram &P : lang::allBenchmarks()) {
     if (Opts.TiersOnly) {
-      CompiledProgram CP(P, Opts.Specialize, Opts.Native);
+      CompiledProgram CP(P, Opts.Native);
       BenchRow R;
       R.Name = P.Name;
       R.Selected = CP.tier();
-      R.Info = CP.specializationInfo();
+      R.Reason = CP.selectionReason();
       Rows.push_back(std::move(R));
     } else {
       Rows.push_back(measureProgram(P, Opts));
@@ -177,11 +181,10 @@ int run(const Options &Opts) {
   }
 
   if (Opts.TiersOnly) {
-    std::printf("%-22s %-12s %s\n", "benchmark", "tier", "specialization");
+    std::printf("%-22s %-12s %s\n", "benchmark", "tier", "reason");
     for (const BenchRow &R : Rows)
       std::printf("%-22s %-12s %s\n", R.Name.c_str(),
-                  execTierName(R.Selected),
-                  R.Info.empty() ? "-" : R.Info.c_str());
+                  execTierName(R.Selected), R.Reason.c_str());
     return 0;
   }
 
@@ -193,15 +196,15 @@ int run(const Options &Opts) {
   if (Opts.Json) {
     std::printf("{\n");
     std::printf("  \"n\": %zu,\n  \"seed\": %" PRIu64
-                ",\n  \"specialize\": %s,\n  \"native\": %s,\n",
-                Opts.N, Opts.Seed, Opts.Specialize ? "true" : "false",
-                Opts.Native ? "true" : "false");
+                ",\n  \"native\": %s,\n",
+                Opts.N, Opts.Seed, Opts.Native ? "true" : "false");
     std::printf("  \"benchmarks\": [\n");
     for (size_t I = 0; I != Rows.size(); ++I) {
       const BenchRow &R = Rows[I];
       std::printf("    {\"name\": \"%s\", \"tier\": \"%s\", "
-                  "\"specialization\": \"%s\"",
-                  R.Name.c_str(), execTierName(R.Selected), R.Info.c_str());
+                  "\"reason\": \"%s\"",
+                  R.Name.c_str(), execTierName(R.Selected),
+                  R.Reason.c_str());
       const TierRow *Per = &R.Tiers[0];
       for (const TierRow &T : R.Tiers) {
         if (!T.Available)
@@ -218,6 +221,13 @@ int run(const Options &Opts) {
           std::printf(", \"speedup_%s_vs_per_element\": %.2f", tierKey(T.T),
                       Per->NsPerElem / T.NsPerElem);
       }
+      // The no-compiler column: the fallback tier and its time, taken
+      // from the per-tier measurements above.
+      for (const TierRow &T : R.Tiers)
+        if (T.Available && T.T == R.NoNative && !T.ClosedForm)
+          std::printf(", \"no_native_tier\": \"%s\", "
+                      "\"no_native_ns_per_elem\": %.3f",
+                      execTierName(T.T), T.NsPerElem);
       std::printf("}%s\n", I + 1 == Rows.size() ? "" : ",");
     }
     std::printf("  ],\n");
@@ -230,20 +240,18 @@ int run(const Options &Opts) {
 
   std::printf("fold throughput, N=%zu seed=%" PRIu64 "%s (ns/elem; lower "
               "is better)\n",
-              Opts.N, Opts.Seed,
-              Opts.Specialize ? "" : " [--no-specialize]");
-  std::printf("%-22s %-12s %12s %12s %12s %12s %11s\n", "benchmark",
-              "tier", "per-elem", "loop-vm", "native", "fused", "speedup");
+              Opts.N, Opts.Seed, Opts.Native ? "" : " [--no-native]");
+  std::printf("%-22s %-12s %12s %12s %12s %11s\n", "benchmark", "tier",
+              "per-elem", "loop-vm", "native", "speedup");
   for (const BenchRow &R : Rows) {
-    char Per[32] = "-", Loop[32] = "-", Nat[32] = "-", Fused[32] = "-",
-         Sp[32] = "-";
+    char Per[32] = "-", Loop[32] = "-", Nat[32] = "-", Sp[32] = "-";
     for (const TierRow &T : R.Tiers) {
-      if (!T.Available)
-        continue;
       char *Dst = T.T == ExecTier::PerElement ? Per
                   : T.T == ExecTier::LoopVM   ? Loop
                   : T.T == ExecTier::Native   ? Nat
-                                              : Fused;
+                                              : nullptr;
+      if (!T.Available || !Dst)
+        continue;
       if (T.ClosedForm)
         std::snprintf(Dst, sizeof(Per), "closed-form");
       else
@@ -257,8 +265,13 @@ int run(const Options &Opts) {
             !T.ClosedForm)
           std::snprintf(Sp, sizeof(Sp), "%.2fx",
                         R.Tiers[0].NsPerElem / T.NsPerElem);
-    std::printf("%-22s %-12s %12s %12s %12s %12s %11s\n", R.Name.c_str(),
-                execTierName(R.Selected), Per, Loop, Nat, Fused, Sp);
+    std::printf("%-22s %-12s %12s %12s %12s %11s\n", R.Name.c_str(),
+                execTierName(R.Selected), Per, Loop, Nat, Sp);
+    // The bag program's only tier is its hash-set kernel.
+    const TierRow &Bag = R.Tiers[3];
+    if (Bag.Available)
+      std::printf("%-35s hash-set kernel %.2f ns/elem\n", "",
+                  Bag.NsPerElem);
   }
   std::printf("\ndistinct kernel scaling: time(2N)/time(N) = %.2f at N=%zu "
               "(%.2fms -> %.2fms); ~2 is linear, ~4 was the old O(n*k) "
@@ -277,8 +290,6 @@ int main(int argc, char **argv) {
       Opts.Json = true;
     } else if (A == "--tiers") {
       Opts.TiersOnly = true;
-    } else if (A == "--no-specialize") {
-      Opts.Specialize = false;
     } else if (A == "--no-native") {
       Opts.Native = false;
     } else if (A == "--n" && I + 1 < argc) {
@@ -287,8 +298,8 @@ int main(int argc, char **argv) {
       Opts.Seed = std::strtoull(argv[++I], nullptr, 10);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--json] [--tiers] [--no-specialize] "
-                   "[--no-native] [--n ELEMS] [--seed S]\n",
+                   "usage: %s [--json] [--tiers] [--no-native] "
+                   "[--n ELEMS] [--seed S]\n",
                    argv[0]);
       return 2;
     }

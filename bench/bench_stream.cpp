@@ -11,7 +11,7 @@
 // for updates whose answers agree.
 //
 //   bench_stream [--json] [--n ELEMS] [--chunks C] [--updates U]
-//                [--seed S] [--no-specialize] [--no-native]
+//                [--seed S] [--no-native]
 //
 // --json prints the machine-readable report consumed by
 // scripts/bench_baseline.sh (BENCH_stream.json). The headline acceptance
@@ -43,7 +43,6 @@ namespace {
 
 struct Options {
   bool Json = false;
-  bool Specialize = true;
   bool Native = true;
   size_t N = 1u << 20;
   size_t Chunks = 256;
@@ -55,7 +54,7 @@ volatile int64_t Sink;
 
 /// Same threshold as bench_kernels: a "refold" under this per-element
 /// cost is not an O(N) pass — the host compiler collapsed the fold to a
-/// closed form (count's specialized lane becomes Acc += N), so a tree
+/// closed form (count's native lane becomes Acc += N), so a tree
 /// speedup against it is meaningless and reported as such.
 constexpr double ClosedFormNsPerElem = 0.05;
 
@@ -82,8 +81,8 @@ bool measure(const lang::SerialProgram &P, const Options &Opts, Row *Out) {
   synth::SynthesisResult R = synth::synthesize(P);
   if (!R.Success)
     return false;
-  CompiledProgram CP(P, Opts.Specialize, Opts.Native);
-  CompiledPlan Plan(P, R.Plan, Opts.Specialize, Opts.Native);
+  CompiledProgram CP(P, Opts.Native);
+  CompiledPlan Plan(P, R.Plan, Opts.Native);
 
   std::vector<int64_t> Data = generateWorkload(P, Opts.N, Opts.Seed);
   size_t Chunks = Opts.Chunks < Data.size() ? Opts.Chunks : Data.size();
@@ -216,8 +215,6 @@ int main(int argc, char **argv) {
     std::string A = argv[I];
     if (A == "--json") {
       Opts.Json = true;
-    } else if (A == "--no-specialize") {
-      Opts.Specialize = false;
     } else if (A == "--no-native") {
       Opts.Native = false;
     } else if (A == "--n" && I + 1 < argc) {
@@ -232,8 +229,7 @@ int main(int argc, char **argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--json] [--n ELEMS] [--chunks C] "
-                   "[--updates U] [--seed S] [--no-specialize] "
-                   "[--no-native]\n",
+                   "[--updates U] [--seed S] [--no-native]\n",
                    argv[0]);
       return 2;
     }

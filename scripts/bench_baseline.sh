@@ -3,7 +3,8 @@
 #
 #  1. bench_kernels --json  ->  BENCH_kernels.json at the repo root
 #     (per-tier fold throughput for every Table-1 benchmark, the tier
-#     speedups over the per-element VM, and the distinct kernel's
+#     speedups over the per-element VM, the no-compiler fallback tier
+#     and its time (no_native_*), and the distinct kernel's
 #     time(2N)/time(N) scaling ratio — ~2 is linear, ~4 was the old
 #     O(n*k) membership scan);
 #  2. bench_stream --json   ->  BENCH_stream.json at the repo root
@@ -43,10 +44,6 @@ echo "== kernel tier throughput (N=$N seed=$SEED) -> BENCH_kernels.json =="
 "$BUILD"/bench/bench_kernels --json --n "$N" --seed "$SEED" \
     > BENCH_kernels.json
 "$BUILD"/bench/bench_kernels --n "$N" --seed "$SEED"
-
-echo
-echo "== ablation: same workload with the fused kernels disabled =="
-"$BUILD"/bench/bench_kernels --no-specialize --n "$N" --seed "$SEED"
 
 echo
 echo "== ablation: same workload with the native jit tier disabled =="

@@ -273,6 +273,11 @@ bool hostCompilerAvailable() {
   return Available;
 }
 
+bool jitDisabled() {
+  const char *Dis = std::getenv("GRASSP_JIT_DISABLE");
+  return Dis && *Dis && std::string(Dis) != "0";
+}
+
 NativeKernel::~NativeKernel() {
   if (Handle)
     dlclose(Handle);
@@ -420,9 +425,8 @@ KernelCache::Impl &KernelCache::impl() const {
 
 std::shared_ptr<const NativeKernel>
 KernelCache::getOrCompile(const ir::BytecodeFunction &F) {
-  if (const char *Dis = std::getenv("GRASSP_JIT_DISABLE"))
-    if (*Dis && std::string(Dis) != "0")
-      return nullptr;
+  if (jitDisabled())
+    return nullptr;
   if (F.numOutputs() + 1 != F.numInputs() || !hostCompilerAvailable())
     return nullptr;
   Impl &I = impl();

@@ -1,11 +1,11 @@
 //===- jit/NativeKernel.h - Compile optimized bytecode to native code ----===//
 //
-// The fourth execution tier: optimized fold bytecode (post-BytecodeOpt)
+// The native execution tier: optimized fold bytecode (post-BytecodeOpt)
 // is lowered to a self-contained C++ translation unit, compiled by the
 // host compiler into a shared object, dlopen'd, and called directly.
 // One compiled kernel replaces the loop-resident VM's dispatch entirely,
-// so automaton-style steps that fall off the pattern specializer still
-// run at compiled-loop speed.
+// so every scalar step, automaton-style ones included, runs at
+// compiled-loop speed. It is the tier CompiledProgram selects first.
 //
 // Lowering is deliberately branch-free: Select becomes a two's-complement
 // mask blend and And/Or/Not/comparisons are materialized as 0/1 integer
@@ -27,7 +27,7 @@
 //
 // Everything degrades gracefully: no host compiler (probe honors $CXX,
 // falls back to g++), a failing compile, or GRASSP_JIT_DISABLE=1 simply
-// yields no kernel, and tier selection falls back to Specialized/LoopVM.
+// yields no kernel, and tier selection falls back to the loop VM.
 // All std::system results are decoded through WIFEXITED/WIFSIGNALED so
 // a crashed compiler is reported, not mistaken for "unavailable".
 //
@@ -81,6 +81,10 @@ bool compilerWorks(const std::string &Cxx);
 /// Cached probe of hostCxx(); shared by the native tier and the
 /// differential oracle's emitted-binary path.
 bool hostCompilerAvailable();
+
+/// True when $GRASSP_JIT_DISABLE is set to anything but "" or "0"; the
+/// kill switch KernelCache::getOrCompile honors.
+bool jitDisabled();
 
 /// Knobs for compileFoldKernel; default-constructed options use the
 /// host compiler and the default disk cache directory.

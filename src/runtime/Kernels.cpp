@@ -66,11 +66,12 @@ const char *execTierName(ExecTier T) {
 //===----------------------------------------------------------------------===//
 
 CompiledProgram::CompiledProgram(const lang::SerialProgram &Prog,
-                                 bool AllowSpecialize, bool AllowNative)
+                                 bool AllowNative)
     : Prog(Prog), Bag(Prog.State.hasBag()) {
   if (Bag) {
     assert(Prog.State.size() == 1 && "bag kernels support bag-only state");
-    Tier = ExecTier::Specialized; // the native hash-set distinct kernel.
+    Tier = ExecTier::Specialized;
+    Reason = "specialized (bag: hash-set distinct)";
     return;
   }
   StepFn = ir::BytecodeFunction::compile(Prog.Step, fieldNames(Prog, true));
@@ -78,15 +79,28 @@ CompiledProgram::CompiledProgram(const lang::SerialProgram &Prog,
   OutputFn = ir::BytecodeFunction::compile({Prog.Output},
                                            fieldNames(Prog, false))
                  .optimized();
-  if (AllowSpecialize)
-    Spec = specializeStep(Prog);
-  // Null when no host compiler, the compile failed, or the jit is
-  // disabled; the tier simply doesn't exist then.
-  if (AllowNative)
-    Native = jit::KernelCache::instance().getOrCompile(StepOpt);
-  Tier = Spec     ? ExecTier::Specialized
-         : Native ? ExecTier::Native
-                  : ExecTier::LoopVM;
+  // Native first; the loop VM is the fallback, and Reason records why.
+  Tier = ExecTier::LoopVM;
+  if (!AllowNative) {
+    Reason = "loop-vm (--no-native)";
+    return;
+  }
+  if (jit::jitDisabled()) {
+    Reason = "loop-vm (GRASSP_JIT_DISABLE)";
+    return;
+  }
+  if (!jit::hostCompilerAvailable()) {
+    Reason = "loop-vm (no host compiler)";
+    return;
+  }
+  Native = jit::KernelCache::instance().getOrCompile(StepOpt);
+  if (!Native) {
+    Reason = "loop-vm (compile failed: " +
+             jit::KernelCache::instance().lastError() + ")";
+    return;
+  }
+  Tier = ExecTier::Native;
+  Reason = "native";
 }
 
 bool CompiledProgram::tierAvailable(ExecTier T) const {
@@ -94,7 +108,7 @@ bool CompiledProgram::tierAvailable(ExecTier T) const {
     return T == ExecTier::Specialized;
   switch (T) {
   case ExecTier::Specialized:
-    return Spec.has_value();
+    return false;
   case ExecTier::Native:
     return Native != nullptr;
   case ExecTier::LoopVM:
@@ -102,12 +116,6 @@ bool CompiledProgram::tierAvailable(ExecTier T) const {
     return true;
   }
   return false;
-}
-
-std::string CompiledProgram::specializationInfo() const {
-  if (Bag)
-    return "distinct(hash-set)";
-  return Spec ? Spec->describe() : std::string();
 }
 
 uint64_t CompiledProgram::bytecodeHash() const {
@@ -133,8 +141,7 @@ void CompiledProgram::foldSegmentTier(ExecTier T, std::vector<int64_t> &State,
   assert(!Bag && "bag programs use runSerial / the distinct worker");
   assert(tierAvailable(T) && "tier not available for this program");
   switch (T) {
-  case ExecTier::Specialized:
-    Spec->fold(State.data(), Seg.Data, Seg.Size);
+  case ExecTier::Specialized: // bag-only; asserted unavailable above.
     return;
   case ExecTier::Native:
     Native->fold(State.data(), Seg.Data, Seg.Size);
@@ -222,8 +229,8 @@ int64_t CompiledProgram::runSerialSourceTier(ExecTier T,
 
 CompiledPlan::CompiledPlan(const lang::SerialProgram &Prog,
                            const synth::ParallelPlan &Plan,
-                           bool AllowSpecialize, bool AllowNative)
-    : Prog(Prog), Plan(Plan), Compiled(Prog, AllowSpecialize, AllowNative) {
+                           bool AllowNative)
+    : Prog(Prog), Plan(Plan), Compiled(Prog, AllowNative) {
   if (Plan.Kind != synth::Scenario::CondPrefixRefold &&
       Plan.Kind != synth::Scenario::CondPrefixSummary)
     return;

@@ -5,22 +5,24 @@
 // are compiled to register bytecode (ir/Bytecode.h) once, then folded
 // over millions of elements.
 //
-// Folding runs on a four-tier pipeline; CompiledProgram picks the
-// fastest tier available for its program and every caller (serial run,
-// parallel workers, merge repair) goes through the same selection, so
-// measured speedups compare like against like:
+// Scalar programs fold on one of three tiers. CompiledProgram selects
+// the first one available, and every caller (serial run, parallel
+// workers, merge repair) goes through that same selection, so measured
+// speedups compare like against like:
 //
-//   Specialized - pattern-matched native kernels (runtime/Specialize.h);
-//                 bag-typed programs use the native hash-set distinct
-//                 kernel (runtime/DistinctSet.h) at this tier.
 //   Native      - the optimized bytecode compiled to a real machine-code
 //                 fold loop by the host compiler (jit/NativeKernel.h)
 //                 and dlopen'd; present when a host compiler exists.
 //   LoopVM      - the whole segment loop runs inside the bytecode VM
 //                 (BytecodeFunction::foldLoop) on peephole-optimized
-//                 bytecode with threaded dispatch.
+//                 bytecode with threaded dispatch. The fallback when
+//                 there is no native kernel.
 //   PerElement  - one BytecodeFunction::run call per element; the
 //                 portable baseline kept as a differential reference.
+//
+// Bag-typed programs have exactly one tier, Specialized: the hash-set
+// distinct kernel (runtime/DistinctSet.h), which is their semantics
+// rather than an optimization.
 //
 // All tiers are semantically identical by construction and certified by
 // the differential oracle (testing/DiffOracle runs every available tier
@@ -37,12 +39,10 @@
 
 #include "ir/Bytecode.h"
 #include "jit/NativeKernel.h"
-#include "runtime/Specialize.h"
 #include "runtime/Workload.h"
 #include "synth/ParallelPlan.h"
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,7 +51,8 @@ namespace runtime {
 
 class SegmentSource;
 
-/// Execution tiers, fastest first.
+/// Execution tiers. Scalar programs select Native, then LoopVM;
+/// Specialized is the bag programs' hash-set distinct kernel only.
 enum class ExecTier : uint8_t { Specialized, Native, LoopVM, PerElement };
 
 /// "specialized" / "native" / "loop-vm" / "per-element".
@@ -61,13 +62,11 @@ const char *execTierName(ExecTier T);
 /// the native distinct-elements kernel (bag states).
 class CompiledProgram {
 public:
-  /// \p AllowSpecialize gates the specialized tier (the `--no-specialize`
-  /// ablation); the hash-set distinct kernel for bag programs is not an
-  /// ablatable tier and stays on regardless. \p AllowNative gates the
-  /// jit-compiled tier (`--no-native`); it also quietly stays off when
-  /// no host compiler is available.
+  /// \p AllowNative gates the jit-compiled tier (`--no-native`); the
+  /// tier also stays off when GRASSP_JIT_DISABLE is set, no host
+  /// compiler exists or the compile fails, and selectionReason() says
+  /// which. The bag programs' hash-set kernel is not affected.
   explicit CompiledProgram(const lang::SerialProgram &Prog,
-                           bool AllowSpecialize = true,
                            bool AllowNative = true);
 
   bool usesBag() const { return Bag; }
@@ -82,8 +81,11 @@ public:
   /// The tier all fold entry points run on.
   ExecTier tier() const { return Tier; }
   bool tierAvailable(ExecTier T) const;
-  /// Kernel summary for the specialized tier ("" when not specialized).
-  std::string specializationInfo() const;
+  /// Why tier() was selected: "native", "loop-vm (--no-native)",
+  /// "loop-vm (GRASSP_JIT_DISABLE)", "loop-vm (no host compiler)",
+  /// "loop-vm (compile failed: <jit error>)" or
+  /// "specialized (bag: hash-set distinct)".
+  const std::string &selectionReason() const { return Reason; }
 
   /// d0 as a flat int64 vector (Bools are 0/1). Bag programs return {}.
   std::vector<int64_t> initialState() const;
@@ -121,10 +123,10 @@ private:
   const lang::SerialProgram &Prog;
   bool Bag = false;
   ExecTier Tier = ExecTier::PerElement;
+  std::string Reason;
   ir::BytecodeFunction StepFn;   // unoptimized; the per-element tier.
   ir::BytecodeFunction StepOpt;  // peephole-optimized; the loop-VM tier.
   ir::BytecodeFunction OutputFn; // inputs: fields.
-  std::optional<SpecializedStep> Spec;
   std::shared_ptr<const jit::NativeKernel> Native; // the jit tier.
 };
 
@@ -149,8 +151,7 @@ struct WorkerOutput {
 class CompiledPlan {
 public:
   CompiledPlan(const lang::SerialProgram &Prog,
-               const synth::ParallelPlan &Plan, bool AllowSpecialize = true,
-               bool AllowNative = true);
+               const synth::ParallelPlan &Plan, bool AllowNative = true);
 
   /// Runs the per-segment worker (safe to call concurrently).
   WorkerOutput runWorker(SegmentView Seg) const;

@@ -200,7 +200,7 @@ OracleVerdict DiffOracle::check(const SegmentedInput &Segs) {
   TierRun Tiers[] = {{runtime::ExecTier::PerElement, "vm"},
                      {runtime::ExecTier::LoopVM, "loop-vm"},
                      {runtime::ExecTier::Native, "native"},
-                     {runtime::ExecTier::Specialized, "fused"}};
+                     {runtime::ExecTier::Specialized, "distinct"}};
   for (TierRun &R : Tiers) {
     if (!Compiled.tierAvailable(R.T))
       continue;

@@ -11,9 +11,8 @@
 //  4. the jit-compiled native kernel (Native tier: the optimized
 //     bytecode lowered to C++, built by the host compiler and
 //     dlopen'd; absent without a host compiler);
-//  5. the pattern-specialized native kernels (Specialized tier; present
-//     only when the program's step shape specializes — for bag programs
-//     this is the hash-set distinct kernel and the only tier);
+//  5. the hash-set distinct kernel (Specialized tier; bag programs
+//     only, where it is the one and only tier);
 //  6. the compiled plan run segment-parallel on a real ThreadPool
 //     (runtime::runParallel);
 //  7. the compiled plan run over a chunked SegmentSource (the
@@ -35,7 +34,7 @@
 //     under while demanding the same bit-identical answer.
 //
 // Running every tier on every fuzzed workload is what lets the runtime
-// trust neither the peephole optimizer nor the specialized kernels: a
+// trust neither the peephole optimizer nor the native lowering: a
 // miscompiled lane diverges from the interpreter here.
 //
 // Any disagreement is a divergence; minimize() shrinks a diverging input
@@ -89,7 +88,7 @@ struct OracleVerdict {
   /// Ground-truth output (the reference interpreter).
   int64_t Expected = 0;
   /// On divergence: every path's value, e.g.
-  /// "interp=3 vm=3 loop-vm=3 fused=4 plan+pool=3".
+  /// "interp=3 vm=3 loop-vm=3 native=4 plan+pool=3".
   std::string Detail;
 };
 
@@ -108,9 +107,9 @@ public:
   /// program supports (including the jit-compiled native tier when a
   /// host compiler exists), the plan+pool run, the chunked-source
   /// parallel run and the MergeTree replay (skipped on empty
-  /// workloads), and (when ready) the emitted binary. 7-9 for typical
-  /// scalar programs, 5 or 6 for bag programs (which have only the
-  /// hash-set tier).
+  /// workloads), and (when ready) the emitted binary. 6-8 for scalar
+  /// programs (7-8 with a host compiler), 5 or 6 for bag programs
+  /// (which have only the hash-set tier).
   unsigned numPaths() const {
     unsigned N = 4; // interpreter + plan+pool + source+pool + merge-tree.
     if (Compiled.tierAvailable(runtime::ExecTier::PerElement))

@@ -1019,14 +1019,13 @@ TEST(DistCoordinator, TaskDeadlineScalesWithShardElementCount) {
 }
 
 TEST(DistCoordinator, ScaledDeadlineSuppressesFalseHangKills) {
-  // A deliberately slow tier (no specialization, no native JIT) under a
+  // A deliberately slow tier (the loop VM, no native JIT) under a
   // tiny base deadline: without per-element scaling the hang sweep
   // would reap honest workers mid-fold; with it the run must finish
   // with zero kills. Speculation stays on — backups are cheap; kills
   // are the false positive this satellite fixes.
   DistRun R("sum", 40000, 4);
   runtime::CompiledPlan Slow(*R.P, synthFor("sum").Plan,
-                             /*AllowSpecialize=*/false,
                              /*AllowNative=*/false);
   dist::DistConfig Cfg;
   Cfg.Workers = 2;

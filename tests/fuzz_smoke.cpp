@@ -47,9 +47,8 @@ gt::FuzzOptions smokeOptions() {
 // One representative per Table-1 group (B1, B2, B3, two B4 flavors, and
 // the bag plan) through the all-tier oracle across every adversarial
 // shape. Zero divergences expected, and the path count pins which tiers
-// engaged: specializable steps (sum, second_max) add the fused native
-// path on top of interp/vm/loop-vm/plan+pool, while the bag program has
-// only the hash-set tier.
+// engaged: scalar programs run interp/vm/loop-vm/plan+pool plus the
+// native path, while the bag program has only the hash-set tier.
 class Representative : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(Representative, NoDivergenceAcrossAdversarialShapes) {
@@ -64,27 +63,25 @@ TEST_P(Representative, NoDivergenceAcrossAdversarialShapes) {
       << "\n  reproducer: " << gt::DiffOracle::formatInput(Rep.Reproducer);
   // Path count pins which tiers engaged. Bag programs have only the
   // hash-set tier; scalar programs run interp + vm + loop-vm + plan+pool,
-  // plus the fused path when the step specializes, plus the jit-compiled
-  // native path whenever a host compiler exists. Every program adds the
-  // chunked-source parallel run and the MergeTree replay — the bounded
-  // streaming slice of this smoke tier.
+  // plus the jit-compiled native path whenever a host compiler exists.
+  // Every program adds the chunked-source parallel run and the MergeTree
+  // replay — the bounded streaming slice of this smoke tier.
   grassp::runtime::CompiledProgram CP(*P);
   unsigned WantPaths;
   if (GetParam() == "count_distinct") {
     WantPaths = 5u;
   } else {
     WantPaths = 6u;
-    if (CP.tierAvailable(grassp::runtime::ExecTier::Specialized))
-      ++WantPaths;
     if (CP.tierAvailable(grassp::runtime::ExecTier::Native))
       ++WantPaths;
   }
   EXPECT_EQ(Rep.PathsCompared, WantPaths);
   // The native tier must actually participate when a compiler exists.
   if (GetParam() != "count_distinct" &&
-      gt::DiffOracle::hostCompilerAvailable())
+      gt::DiffOracle::hostCompilerAvailable()) {
     EXPECT_TRUE(CP.tierAvailable(grassp::runtime::ExecTier::Native))
         << "host compiler available but native tier absent";
+  }
   EXPECT_GT(Rep.Checks, 0u);
 }
 
@@ -113,13 +110,13 @@ TEST(FuzzSmoke, EmittedPathAgreesOnSum) {
   Opts.Sizes = {0, 1, 3, 17, 64};
   gt::FuzzReport Rep = gt::fuzzBenchmark(*P, R.Plan, Opts);
   EXPECT_FALSE(Rep.Diverged) << Rep.Shape << ": " << Rep.Detail;
-  // interp + vm + loop-vm + fused + plan+pool + source+pool + merge-tree
-  // + emitted, plus the native jit path (this test already skipped
+  // interp + vm + loop-vm + plan+pool + source+pool + merge-tree +
+  // emitted, plus the native jit path (this test already skipped
   // without a host compiler, so the native tier is absent only if its
   // compile failed).
   grassp::runtime::CompiledProgram CP(*P);
   unsigned WantPaths =
-      8u + (CP.tierAvailable(grassp::runtime::ExecTier::Native) ? 1u : 0u);
+      7u + (CP.tierAvailable(grassp::runtime::ExecTier::Native) ? 1u : 0u);
   EXPECT_EQ(Rep.PathsCompared, WantPaths);
 }
 
@@ -128,18 +125,31 @@ TEST(FuzzSmoke, EmittedPathAgreesOnSum) {
 // the reference interpreter on fuzz-generated workloads across
 // adversarial segment shapes. This is the certification path for the
 // peephole optimizer (loop-vm runs optimized bytecode, the per-element
-// tier runs it unoptimized) and the specialized native kernels.
+// tier runs it unoptimized), the native lowering and the bag program's
+// hash-set kernel.
 TEST(FuzzSmoke, AllTiersMatchInterpreterOnFuzzedWorkloads) {
   namespace rt = grassp::runtime;
   constexpr rt::ExecTier AllTiers[] = {rt::ExecTier::Specialized,
                                        rt::ExecTier::Native,
                                        rt::ExecTier::LoopVM,
                                        rt::ExecTier::PerElement};
-  unsigned SpecializedSeen = 0, NativeSeen = 0;
+  const bool Compiler = gt::DiffOracle::hostCompilerAvailable();
+  unsigned Scalar = 0;
   for (const SerialProgram &P : grassp::lang::allBenchmarks()) {
     rt::CompiledProgram CP(P);
-    SpecializedSeen += CP.tierAvailable(rt::ExecTier::Specialized) ? 1 : 0;
-    NativeSeen += CP.tierAvailable(rt::ExecTier::Native) ? 1 : 0;
+    // Selection, not just availability: with a host compiler every
+    // scalar program runs on the native tier (a silent fallback to the
+    // loop VM would leave the default path uncertified here), and the
+    // bag program on its hash-set kernel.
+    if (P.State.hasBag()) {
+      EXPECT_EQ(CP.tier(), rt::ExecTier::Specialized) << P.Name;
+    } else {
+      ++Scalar;
+      if (Compiler) {
+        EXPECT_EQ(CP.tier(), rt::ExecTier::Native)
+            << P.Name << ": " << CP.selectionReason();
+      }
+    }
     for (size_t N : {size_t{0}, size_t{1}, size_t{3}, size_t{17},
                      size_t{64}, size_t{257}}) {
       for (uint64_t Seed : {uint64_t{1}, uint64_t{99}}) {
@@ -160,14 +170,7 @@ TEST(FuzzSmoke, AllTiersMatchInterpreterOnFuzzedWorkloads) {
       }
     }
   }
-  // The kernel specializer must actually engage on the sum/min/max/
-  // counted-extrema family (plus the bag program's hash-set kernel).
-  EXPECT_GE(SpecializedSeen, 15u);
-  // And with a host compiler present, the jit tier must participate on
-  // every scalar benchmark — a silent fallback to the loop VM here would
-  // mean the native path is never differentially certified.
-  if (gt::DiffOracle::hostCompilerAvailable())
-    EXPECT_GE(NativeSeen, 20u);
+  EXPECT_EQ(Scalar, 26u);
 }
 
 // Plant a bug: sum's merge combines partial sums with subtraction
@@ -232,8 +235,9 @@ TEST(FuzzSmoke, AdversarialShapesCoverDegenerateGeometry) {
         EXPECT_TRUE(SawEmptySegment) << "N=" << N << " M=" << M;
         EXPECT_TRUE(SawSingleton) << "N=" << N << " M=" << M;
       }
-      if (N < M) // more segments than elements forces empties.
+      if (N < M) { // more segments than elements forces empties.
         EXPECT_TRUE(SawEmptySegment);
+      }
     }
   }
 }

@@ -6,8 +6,10 @@
 // the full opcode set) and on the real benchmark suite's guarded and
 // modulo lanes. Also pins the cache discipline — one dlopen handle per
 // bytecode hash in memory, objects reused from disk across
-// clearMemoryCache — and the graceful-fallback paths (bogus compiler,
-// non-fold shapes, the --no-native ablation, GRASSP_JIT_DISABLE).
+// clearMemoryCache — the tier selection with its reasons (native first,
+// the loop VM as fallback, the bag program on its hash-set kernel), and
+// the graceful-fallback paths (bogus compiler, non-fold shapes, the
+// --no-native ablation, GRASSP_JIT_DISABLE).
 //
 // Every test that needs the host compiler skips cleanly without one;
 // the fallback tests run everywhere.
@@ -25,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -138,9 +141,9 @@ TEST(JitBackend, NativeTierMatchesInterpreterOnGuardedAndModuloLanes) {
     GTEST_SKIP() << "no host compiler";
   namespace rt = grassp::runtime;
   // The lanes the loop-VM regression lived in (data-dependent guards)
-  // plus automaton steps that never specialize: the native tier must
-  // match the reference interpreter, including Euclidean mod on
-  // negative inputs and division totality.
+  // plus automaton steps: the native tier must match the reference
+  // interpreter, including Euclidean mod on negative inputs and
+  // division totality.
   const char *Names[] = {"count_gt", "sum_even",      "sum_gt",
                          "count_123", "is_sorted",    "max_dist_ones",
                          "count_102", "alternating01"};
@@ -162,6 +165,20 @@ TEST(JitBackend, NativeTierMatchesInterpreterOnGuardedAndModuloLanes) {
           << Name << " N=" << N;
     }
   }
+
+  // sum_even guards on in mod 2 == 0: Euclidean mod must classify
+  // negative even and odd inputs alike on every tier, state included.
+  const lang::SerialProgram *P = lang::findBenchmark("sum_even");
+  ASSERT_NE(P, nullptr);
+  rt::CompiledProgram CP(*P);
+  std::vector<int64_t> Data = {-4, -3, -2, -1, 0, 1, 2, 3};
+  rt::SegmentView Seg{Data.data(), Data.size()};
+  std::vector<int64_t> S1 = CP.initialState(), S2 = CP.initialState();
+  CP.foldSegmentTier(rt::ExecTier::Native, S1, Seg);
+  CP.foldSegmentTier(rt::ExecTier::PerElement, S2, Seg);
+  EXPECT_EQ(S1, S2);
+  EXPECT_EQ(CP.runSerialTier(rt::ExecTier::Native, {Seg}),
+            lang::runSerial(*P, Data));
 }
 
 TEST(JitBackend, KernelCacheSharesOneHandlePerHash) {
@@ -228,13 +245,28 @@ TEST(JitBackend, NonFoldShapeIsRejected) {
 
 TEST(JitBackend, AblationAndKillSwitchDisableTheTier) {
   namespace rt = grassp::runtime;
+  // Native is selected first, for the accumulator family and the
+  // automaton steps alike; without a host compiler both fall back to
+  // the loop VM and say so.
+  for (const char *Name : {"sum", "is_sorted"}) {
+    rt::CompiledProgram Default(*lang::findBenchmark(Name));
+    EXPECT_FALSE(Default.tierAvailable(rt::ExecTier::Specialized)) << Name;
+    if (jit::hostCompilerAvailable()) {
+      EXPECT_EQ(Default.tier(), rt::ExecTier::Native) << Name;
+      EXPECT_EQ(Default.selectionReason(), "native") << Name;
+    } else {
+      EXPECT_EQ(Default.tier(), rt::ExecTier::LoopVM) << Name;
+      EXPECT_EQ(Default.selectionReason(), "loop-vm (no host compiler)");
+    }
+  }
+
   const lang::SerialProgram *P = lang::findBenchmark("is_sorted");
   ASSERT_NE(P, nullptr);
   // --no-native: the tier is off regardless of the host compiler.
-  rt::CompiledProgram NoNative(*P, /*AllowSpecialize=*/true,
-                               /*AllowNative=*/false);
+  rt::CompiledProgram NoNative(*P, /*AllowNative=*/false);
   EXPECT_FALSE(NoNative.tierAvailable(rt::ExecTier::Native));
   EXPECT_EQ(NoNative.tier(), rt::ExecTier::LoopVM);
+  EXPECT_EQ(NoNative.selectionReason(), "loop-vm (--no-native)");
 
   // GRASSP_JIT_DISABLE: the env kill-switch yields no kernel even with
   // a compiler present, and tier selection falls back cleanly.
@@ -243,6 +275,15 @@ TEST(JitBackend, AblationAndKillSwitchDisableTheTier) {
   ::unsetenv("GRASSP_JIT_DISABLE");
   EXPECT_FALSE(Disabled.tierAvailable(rt::ExecTier::Native));
   EXPECT_EQ(Disabled.tier(), rt::ExecTier::LoopVM);
+  EXPECT_EQ(Disabled.selectionReason(), "loop-vm (GRASSP_JIT_DISABLE)");
+
+  // The bag program's hash-set kernel is its semantics, not an
+  // optimization: neither switch touches it.
+  const lang::SerialProgram *BagP = lang::findBenchmark("count_distinct");
+  ASSERT_NE(BagP, nullptr);
+  rt::CompiledProgram Bag(*BagP, /*AllowNative=*/false);
+  EXPECT_EQ(Bag.tier(), rt::ExecTier::Specialized);
+  EXPECT_EQ(Bag.selectionReason(), "specialized (bag: hash-set distinct)");
 
   // Both ablated programs still run (loop VM) and agree with the
   // interpreter.
@@ -250,6 +291,42 @@ TEST(JitBackend, AblationAndKillSwitchDisableTheTier) {
   std::vector<rt::SegmentView> Views = {{Data.data(), Data.size()}};
   EXPECT_EQ(NoNative.runSerial(Views), lang::runSerial(*P, Data));
   EXPECT_EQ(Disabled.runSerial(Views), lang::runSerial(*P, Data));
+}
+
+TEST(JitBackend, FailedCompileFallsBackWithItsError) {
+  namespace rt = grassp::runtime;
+  if (!jit::hostCompilerAvailable())
+    GTEST_SKIP() << "no host compiler; the probe already failed";
+  // The probe result is cached, so pointing $CXX at a missing binary now
+  // makes the real compile fail. A fresh object cache and an empty
+  // memory cache keep the kernel from being found instead.
+  auto saved = [](const char *Name) {
+    const char *V = std::getenv(Name);
+    return V ? std::optional<std::string>(V) : std::nullopt;
+  };
+  auto restore = [](const char *Name, const std::optional<std::string> &V) {
+    if (V)
+      ::setenv(Name, V->c_str(), 1);
+    else
+      ::unsetenv(Name);
+  };
+  std::optional<std::string> OldCxx = saved("CXX");
+  std::optional<std::string> OldDir = saved("GRASSP_JIT_CACHE_DIR");
+  std::string Dir = ::testing::TempDir() + "grassp-jit-fail-cache";
+  ::setenv("GRASSP_JIT_CACHE_DIR", Dir.c_str(), 1);
+  ::setenv("CXX", "/nonexistent/grassp-no-such-compiler", 1);
+  jit::KernelCache::instance().clearMemoryCache();
+  rt::CompiledProgram CP(*lang::findBenchmark("is_sorted"));
+  restore("CXX", OldCxx);
+  restore("GRASSP_JIT_CACHE_DIR", OldDir);
+  // Forget the remembered failure so later compiles in this process
+  // succeed again.
+  jit::KernelCache::instance().clearMemoryCache();
+
+  EXPECT_EQ(CP.tier(), rt::ExecTier::LoopVM);
+  const std::string &Why = CP.selectionReason();
+  EXPECT_EQ(Why.rfind("loop-vm (compile failed: ", 0), 0u) << Why;
+  EXPECT_NE(Why.find("grassp-no-such-compiler"), std::string::npos) << Why;
 }
 
 TEST(JitBackend, ShellQuoteAndWaitStatusHelpers) {

@@ -45,7 +45,7 @@ TEST_P(JobBenchmark, JobOutputMatchesSerialAndSpeedupIsBounded) {
 
   ClusterConfig Cfg;
   // Calibrated so map tasks represent nontrivial modeled compute even on
-  // the specialized native tier (microseconds of host time per shard);
+  // the native tier (microseconds of host time per shard);
   // otherwise modeled startup/dispatch/reduce costs dominate and the
   // model legitimately reports speedup < 1.
   Cfg.ComputeScale = 5.0e6;

@@ -90,7 +90,7 @@ TEST(DistinctSet, CountDistinctProgramMatchesInterpreter) {
   ASSERT_NE(P, nullptr);
   runtime::CompiledProgram CP(*P);
   EXPECT_EQ(CP.tier(), runtime::ExecTier::Specialized);
-  EXPECT_EQ(CP.specializationInfo(), "distinct(hash-set)");
+  EXPECT_EQ(CP.selectionReason(), "specialized (bag: hash-set distinct)");
 
   Rng R(31337);
   for (unsigned Trial = 0; Trial != 10; ++Trial) {

@@ -241,7 +241,7 @@ TEST(Runner, AllTiersConcurrentOnSharedProgram) {
     const CompiledProgram CP(*P);
     int64_t Expected = CP.runSerial(Segs);
 
-    constexpr ExecTier AllTiers[] = {ExecTier::Specialized, ExecTier::LoopVM,
+    constexpr ExecTier AllTiers[] = {ExecTier::Native, ExecTier::LoopVM,
                                      ExecTier::PerElement};
     std::vector<int64_t> Outs(48, 0);
     for (size_t I = 0; I != Outs.size(); ++I) {

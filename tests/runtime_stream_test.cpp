@@ -54,9 +54,8 @@ struct Compiled {
 };
 
 /// Synthesizes (cached across tests — Z3 is not free) and compiles \p
-/// Name with the given tier toggles.
-Compiled compile(const char *Name, bool Specialize = true,
-                 bool Native = true) {
+/// Name with or without the native tier.
+Compiled compile(const char *Name, bool Native = true) {
   static std::map<std::string, synth::SynthesisResult> Cache;
   Compiled C;
   C.P = lang::findBenchmark(Name);
@@ -67,8 +66,8 @@ Compiled compile(const char *Name, bool Specialize = true,
     EXPECT_TRUE(It->second.Success) << Name;
   }
   C.R = It->second;
-  C.Plan.reset(new CompiledPlan(*C.P, C.R.Plan, Specialize, Native));
-  C.Prog.reset(new CompiledProgram(*C.P, Specialize, Native));
+  C.Plan.reset(new CompiledPlan(*C.P, C.R.Plan, Native));
+  C.Prog.reset(new CompiledProgram(*C.P, Native));
   return C;
 }
 
@@ -130,14 +129,13 @@ void differentialStream(const Compiled &C,
 }
 
 TEST(MergeTree, RandomizedAppendReplaceMatchesRefoldOnEveryTier) {
-  // Tier toggles steer CompiledPlan's worker path: (specialized or
-  // native), native-only, and the pure-VM fallback.
-  const bool Toggles[][2] = {{true, true}, {false, true}, {false, false}};
+  // The native toggle steers CompiledPlan's worker path: the native
+  // tier (when a host compiler exists) and the loop-VM fallback.
   for (const char *Name : Families) {
     std::vector<int64_t> Data =
         generateWorkload(*lang::findBenchmark(Name), 400, 11);
-    for (const bool *T : Toggles) {
-      Compiled C = compile(Name, T[0], T[1]);
+    for (bool Native : {true, false}) {
+      Compiled C = compile(Name, Native);
       Rng R(101);
       differentialStream(C, randomChunks(Data, R), /*Edits=*/25,
                          /*Seed=*/202);

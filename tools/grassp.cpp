@@ -6,13 +6,13 @@
 //   grassp synth <name>             synthesize and describe the plan
 //   grassp synth-all [--jobs N]     synthesize the whole suite, in
 //                                   parallel on a thread pool
-//   grassp run <name> [N] [P] [--no-specialize] [--no-native]
+//   grassp run <name> [N] [P] [--no-native]
 //              [--input FILE] [--source KIND] [--max-elems M]
 //              [--chunk-elems C]
 //                                   serial vs parallel over N elements;
-//                                   prints the selected execution tier;
-//                                   --no-specialize ablates the fused
-//                                   kernels, --no-native the jit tier;
+//                                   prints the selected execution tier
+//                                   and why; --no-native ablates the
+//                                   jit tier;
 //                                   --input folds a workload file through
 //                                   a segment source (mmap / chunked /
 //                                   memory / auto) so inputs larger than
@@ -95,14 +95,14 @@ int usage(const char *Prog) {
                "[--max-budget-ms M] [--deadline-sec D]\n"
                "                 [--queue-cap Q] [--journal FILE] "
                "[--resume] |\n"
-               "       run <name> [N] [P] [--no-specialize] [--no-native] "
+               "       run <name> [N] [P] [--no-native] "
                "[--input FILE] [--source auto|memory|mmap|chunked]\n"
                "                 [--max-elems M] [--chunk-elems C] |\n"
                "       convert <in.txt> <out.bin> [--max-elems M] |\n"
                "       convert --gen <name> <N> <out.bin> [--seed S] |\n"
                "       stream <name> [--input FILE] [--source KIND] "
                "[--chunk-elems C] [--max-elems M]\n"
-               "                 [--no-specialize] [--no-native] "
+               "                 [--no-native] "
                "(append/edit/query/verify/stats on stdin) |\n"
                "       emit-cpp "
                "<name> | emit-mr "
@@ -119,8 +119,7 @@ int usage(const char *Prog) {
                "[--batch-shards B] [--input FILE] [--json] [--no-shm]\n"
                "                [--fault-seed S] [--kill-permille K] "
                "[--exit-permille K] [--hang-permille K]\n"
-               "                [--corrupt-permille K] [--no-specialize] "
-               "[--no-native] |\n"
+               "                [--corrupt-permille K] [--no-native] |\n"
                "       serve [--socket PATH] [--cache DIR] [--pool N] "
                "[--high-water N] [--snapshot-every N]\n"
                "             [--smt-timeout-ms T] [--deadline-sec D] "
@@ -550,7 +549,6 @@ int main(int argc, char **argv) {
   if (std::strcmp(Cmd, "run") == 0) {
     size_t N = 10000000;
     unsigned Workers = 8;
-    bool Specialize = true;
     bool Native = true;
     const char *InputFile = nullptr;
     runtime::SourceKind Kind = runtime::SourceKind::Auto;
@@ -558,10 +556,6 @@ int main(int argc, char **argv) {
     size_t ChunkElems = 0;
     unsigned Positional = 0;
     for (int I = 3; I < argc; ++I) {
-      if (std::strcmp(argv[I], "--no-specialize") == 0) {
-        Specialize = false;
-        continue;
-      }
       if (std::strcmp(argv[I], "--no-native") == 0) {
         Native = false;
         continue;
@@ -595,8 +589,8 @@ int main(int argc, char **argv) {
                                   : false;
       if (!Ok) {
         std::fprintf(stderr,
-                     "error: run expects [N] [P] [--no-specialize] "
-                     "[--no-native] [--input FILE] [--source KIND] "
+                     "error: run expects [N] [P] [--no-native] "
+                     "[--input FILE] [--source KIND] "
                      "[--max-elems M] [--chunk-elems C], got '%s'\n",
                      argv[I]);
         return 2;
@@ -604,12 +598,10 @@ int main(int argc, char **argv) {
       ++Positional;
     }
     synth::SynthesisResult R = synthOrDie(*P);
-    runtime::CompiledProgram CP(*P, Specialize, Native);
-    runtime::CompiledPlan Plan(*P, R.Plan, Specialize, Native);
-    std::string Info = CP.specializationInfo();
-    std::printf("tier     = %s%s%s%s\n", runtime::execTierName(CP.tier()),
-                Info.empty() ? "" : " (", Info.c_str(),
-                Info.empty() ? "" : ")");
+    runtime::CompiledProgram CP(*P, Native);
+    runtime::CompiledPlan Plan(*P, R.Plan, Native);
+    // The reason starts with the tier name, e.g. "loop-vm (--no-native)".
+    std::printf("tier     = %s\n", CP.selectionReason().c_str());
 
     if (InputFile) {
       // File inputs go through a SegmentSource: serial and parallel both
@@ -669,7 +661,6 @@ int main(int argc, char **argv) {
     unsigned BatchShards = 0; // 0 = the coordinator default.
     uint64_t FaultSeed = 7;
     unsigned KillPm = 0, ExitPm = 0, HangPm = 0, CorruptPm = 0;
-    bool Specialize = true;
     bool Native = true;
     bool Json = false;
     bool NoShm = false;
@@ -703,10 +694,6 @@ int main(int argc, char **argv) {
         InputFile = argv[++I];
         continue;
       }
-      if (std::strcmp(argv[I], "--no-specialize") == 0) {
-        Specialize = false;
-        continue;
-      }
       if (std::strcmp(argv[I], "--no-native") == 0) {
         Native = false;
         continue;
@@ -732,8 +719,8 @@ int main(int argc, char **argv) {
     if (Shards == 0)
       Shards = Workers * 4;
     synth::SynthesisResult R = synthOrDie(*P);
-    runtime::CompiledProgram CP(*P, Specialize, Native);
-    runtime::CompiledPlan Plan(*P, R.Plan, Specialize, Native);
+    runtime::CompiledProgram CP(*P, Native);
+    runtime::CompiledPlan Plan(*P, R.Plan, Native);
     if (!Json)
       std::printf("tier     = %s\n", runtime::execTierName(CP.tier()));
 
@@ -873,17 +860,12 @@ int main(int argc, char **argv) {
     return 0;
   }
   if (std::strcmp(Cmd, "stream") == 0) {
-    bool Specialize = true;
     bool Native = true;
     const char *InputFile = nullptr;
     runtime::SourceKind Kind = runtime::SourceKind::Auto;
     uint64_t MaxElems = 0;
     size_t ChunkElems = 0;
     for (int I = 3; I < argc; ++I) {
-      if (std::strcmp(argv[I], "--no-specialize") == 0) {
-        Specialize = false;
-        continue;
-      }
       if (std::strcmp(argv[I], "--no-native") == 0) {
         Native = false;
         continue;
@@ -915,7 +897,7 @@ int main(int argc, char **argv) {
       return usage(argv[0]);
     }
     synth::SynthesisResult R = synthOrDie(*P);
-    runtime::CompiledPlan Plan(*P, R.Plan, Specialize, Native);
+    runtime::CompiledPlan Plan(*P, R.Plan, Native);
     runtime::MergeTree Tree(Plan);
 
     // The current stream contents, for `edit` bounds and `verify`:
